@@ -14,7 +14,7 @@
 //!
 //! `analyze` queries hit the compiled-program cache (the analytic
 //! fast path); `mc_2000` runs a 2000-unit derived-seed Monte Carlo per
-//! request (the batching executor path).
+//! request (the compute-bound path, where the `--threads` gate binds).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ipass_serve::{testflow, Client, FlowRegistry, Server, ServerConfig};

@@ -183,10 +183,12 @@ pub struct ServeStats {
     pub bytes_in: u64,
     /// Response bytes written to the wire (incl. newline).
     pub bytes_out: u64,
-    /// Batches dispatched onto the executor.
+    /// Requests dispatched to evaluation. The server dispatches every
+    /// request alone, so this always equals `batched_requests`; both
+    /// stay only because the repository benchmark's
+    /// `serve.batch_size_mean` reads them, and go with that metric.
     pub batches: u64,
-    /// Requests that rode a batch of size ≥ 2 (the rest dispatched
-    /// alone).
+    /// Requests dispatched to evaluation (see `batches`).
     pub batched_requests: u64,
 }
 
@@ -310,11 +312,10 @@ impl RunStats {
     ///
     /// Zeroes the lane histogram (which reports kernel shape, so it
     /// *should* change with lane width), the memo split (whose hit/miss
-    /// balance can race under concurrency) and the server's batch
-    /// grouping (how many requests shared a dispatch is arrival-timing
-    /// dependent, even though every response's *bytes* are not).
-    /// Everything left is bit-identical across thread counts *and*
-    /// lane widths.
+    /// balance can race under concurrency) and the server's `batches` /
+    /// `batched_requests` pair (zeroed until both fields are retired
+    /// with the benchmark metric that reads them). Everything left is
+    /// bit-identical across thread counts *and* lane widths.
     #[must_use]
     pub fn invariant_core(&self) -> RunStats {
         RunStats {

@@ -3,9 +3,9 @@
 //!
 //! Every response-producing path is a pure function of the request
 //! content (the `stats` verb excepted, by design) — this is what makes
-//! the wire-level determinism property testable: batching, thread
-//! counts and client interleaving can change *when* a request is
-//! evaluated but never *what* it answers.
+//! the wire-level determinism property testable: the evaluation width
+//! and client interleaving can change *when* a request is evaluated but
+//! never *what* it answers.
 
 use crate::protocol::{derived_seed, parse_request, ErrorCode, Request, ServeError};
 use crate::registry::FlowRegistry;
@@ -14,8 +14,8 @@ use ipass_obs::{RunStats, ServeStats};
 use ipass_report::json::Json;
 use ipass_report::Artifact;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// Relaxed lifetime counters of the serving plane (the atomics behind
 /// [`ServeStats`]). Like the memo counters, totals are exact once the
@@ -28,8 +28,10 @@ pub(crate) struct ServeCounters {
     pub responses_err: AtomicU64,
     pub bytes_in: AtomicU64,
     pub bytes_out: AtomicU64,
-    pub batches: AtomicU64,
-    pub batched_requests: AtomicU64,
+    /// Lines evaluated by [`Engine::handle_line`]. Every request is
+    /// dispatched alone, so this one count feeds both `batches` and
+    /// `batched_requests` of [`ServeStats`].
+    pub dispatched: AtomicU64,
 }
 
 impl ServeCounters {
@@ -41,15 +43,14 @@ impl ServeCounters {
             responses_err: self.responses_err.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
+            batches: self.dispatched.load(Ordering::Relaxed),
+            batched_requests: self.dispatched.load(Ordering::Relaxed),
         }
     }
 }
 
 /// The serving core: registry, counters and the shutdown latch. Shared
-/// (via `Arc`) between the accept loop, every connection thread and the
-/// batch dispatcher.
+/// between the accept loop and every connection thread.
 #[derive(Debug)]
 pub struct Engine {
     registry: FlowRegistry,
@@ -57,7 +58,8 @@ pub struct Engine {
     /// Portable cores of every probed Monte Carlo run, merged — the
     /// engine-side half of the `stats` verb.
     engine_stats: Mutex<RunStats>,
-    shutdown: AtomicBool,
+    shutdown: Mutex<bool>,
+    shutdown_latched: Condvar,
 }
 
 impl Engine {
@@ -67,19 +69,30 @@ impl Engine {
             registry,
             serve: ServeCounters::default(),
             engine_stats: Mutex::new(RunStats::default()),
-            shutdown: AtomicBool::new(false),
+            shutdown: Mutex::new(false),
+            shutdown_latched: Condvar::new(),
         }
     }
 
     /// Whether a `shutdown` request has been accepted.
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        *self.shutdown.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Trigger shutdown programmatically (the `shutdown` verb does the
     /// same).
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        *self.shutdown.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        self.shutdown_latched.notify_all();
+    }
+
+    /// Block until shutdown has been requested.
+    pub(crate) fn wait_for_shutdown(&self) {
+        let requested = self.shutdown.lock().unwrap_or_else(|p| p.into_inner());
+        let _latched = self
+            .shutdown_latched
+            .wait_while(requested, |requested| !*requested)
+            .unwrap_or_else(|p| p.into_inner());
     }
 
     /// The cumulative [`RunStats`] of this server: merged engine
@@ -97,6 +110,7 @@ impl Engine {
     /// as typed `internal-error` responses.
     pub fn handle_line(&self, line: &str) -> String {
         self.serve.requests.fetch_add(1, Ordering::Relaxed);
+        self.serve.dispatched.fetch_add(1, Ordering::Relaxed);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             parse_request(line).and_then(|req| self.dispatch(req))
         }));

@@ -10,8 +10,8 @@
 //! * a compiled-program cache keyed by flow hash
 //!   ([`registry::FlowRegistry`], backed by `ipass_sim::Memo`, hit/miss
 //!   counted on the probe plane),
-//! * request batching onto the `ipass-sim` executor
-//!   (one parallel fan-out per accumulated batch),
+//! * request evaluation on each connection's own thread, at most
+//!   [`ServerConfig::threads`] at once (a counting gate),
 //! * per-request derived seeds ([`protocol::derived_seed`]) so
 //!   concurrent clients get bit-identical answers regardless of
 //!   interleaving, and
@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod client;
 mod engine;
 pub mod protocol;

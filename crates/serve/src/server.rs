@@ -1,39 +1,40 @@
-//! The TCP server: accept loop, per-connection framing, graceful
-//! shutdown.
+//! The TCP server: accept loop, per-connection framing and evaluation,
+//! graceful shutdown.
 //!
-//! Each connection gets a reader thread that frames newline-delimited
-//! requests, answers framing-level failures (oversized lines, invalid
-//! UTF-8, idle timeouts) with typed errors directly, and hands every
-//! well-framed line to the shared [`Batcher`]. Reads poll with a short
-//! timeout so connections notice the shutdown latch promptly; a
-//! `shutdown` request (or [`Server::shutdown`]) stops the accept loop,
-//! lets every in-flight request finish and be answered, then joins all
-//! threads — no request that reached the queue is ever dropped.
+//! Each connection gets one thread that reads, frames, evaluates and
+//! answers its own requests. Framing-level failures (oversized lines,
+//! invalid UTF-8, idle timeouts) are answered with typed errors
+//! directly; every well-framed line goes to [`Engine::handle_line`]
+//! under a counting gate, so at most [`ServerConfig::threads`] requests
+//! evaluate at once. Reads and writes block, bounded by the idle
+//! timeout. A `shutdown` request (or [`Server::shutdown`]) stops the
+//! accept loop; [`Server::join`] then shuts the read half of every live
+//! connection, so idle readers see end-of-stream at once while requests
+//! already read are still evaluated and answered, and joins all
+//! threads.
 
-use crate::batch::{BatchHandle, Batcher};
 use crate::engine::Engine;
 use crate::protocol::{ErrorCode, MAX_REQUEST_BYTES};
 use crate::registry::FlowRegistry;
-use ipass_sim::Executor;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server tuning knobs (all have serviceable defaults).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads of the batch executor.
+    /// Requests evaluated concurrently, across all connections; a
+    /// connection with a request ready waits for a free slot.
     pub threads: usize,
     /// Hard bound on one request line, bytes.
     pub max_request_bytes: usize,
-    /// Poll granularity of connection reads — the latency bound on
-    /// noticing the shutdown latch, not a protocol timeout.
-    pub read_poll: Duration,
     /// Close a connection (with a typed `timeout` error) after this
-    /// much client silence.
+    /// much client silence. Also bounds each response write, so a peer
+    /// that accepts no bytes is dropped after this long too. Must be
+    /// nonzero.
     pub idle_timeout: Duration,
 }
 
@@ -42,20 +43,30 @@ impl Default for ServerConfig {
         ServerConfig {
             threads: 2,
             max_request_bytes: MAX_REQUEST_BYTES,
-            read_poll: Duration::from_millis(25),
             idle_timeout: Duration::from_secs(300),
         }
     }
+}
+
+/// A live connection: its thread, and a second handle on its socket so
+/// [`Server::join`] can end a blocked read.
+type Connection = (JoinHandle<()>, TcpStream);
+
+/// What the accept loop and every connection thread share.
+#[derive(Debug)]
+struct Shared {
+    engine: Engine,
+    gate: Gate,
+    config: ServerConfig,
 }
 
 /// A running `ipassd` server.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
-    engine: Arc<Engine>,
-    accept: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    batcher: Batcher,
+    shared: Arc<Shared>,
+    /// Returns the connections still live when it stops accepting.
+    accept: JoinHandle<Vec<Connection>>,
 }
 
 impl Server {
@@ -72,29 +83,17 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let engine = Arc::new(Engine::new(registry));
-        let batcher = Batcher::start(Arc::clone(&engine), Executor::new(config.threads));
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_engine = Arc::clone(&engine);
-        let accept_connections = Arc::clone(&connections);
-        let batch_handle = batcher.handle();
-        let accept = std::thread::spawn(move || {
-            accept_loop(
-                &listener,
-                &accept_engine,
-                &accept_connections,
-                &batch_handle,
-                &config,
-            );
+        let shared = Arc::new(Shared {
+            engine: Engine::new(registry),
+            gate: Gate::new(config.threads),
+            config,
         });
-
+        let accept_shared = Arc::clone(&shared);
+        let accept = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
         Ok(Server {
             addr,
-            engine,
-            accept: Some(accept),
-            connections,
-            batcher,
+            shared,
+            accept,
         })
     }
 
@@ -105,109 +104,122 @@ impl Server {
 
     /// The engine's cumulative [`ipass_obs::RunStats`] snapshot.
     pub fn run_stats(&self) -> ipass_obs::RunStats {
-        self.engine.run_stats()
+        self.shared.engine.run_stats()
     }
 
     /// Whether shutdown has been requested (by verb or by
     /// [`Server::shutdown`]).
     pub fn shutdown_requested(&self) -> bool {
-        self.engine.shutdown_requested()
+        self.shared.engine.shutdown_requested()
     }
 
     /// Request shutdown programmatically and wake the accept loop.
     pub fn shutdown(&self) {
-        self.engine.request_shutdown();
-        self.wake_accept();
+        self.shared.engine.request_shutdown();
+        // The accept loop blocks in `accept()`; a throwaway local
+        // connection unblocks it so it can observe the latch.
+        let _ = TcpStream::connect(self.addr);
     }
 
     /// Block until shutdown is requested (e.g. by a client's
     /// `shutdown` verb), then drain and join everything.
     pub fn wait(self) {
-        while !self.engine.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        self.shared.engine.wait_for_shutdown();
         self.join();
     }
 
     /// Drain in-flight work and join all threads. Call after
     /// [`Server::shutdown`] (it is invoked implicitly if shutdown was
     /// requested over the wire).
-    pub fn join(mut self) {
-        self.engine.request_shutdown();
-        self.wake_accept();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+    pub fn join(self) {
+        self.shutdown();
+        let live = self.accept.join().unwrap_or_default();
+        for (_, stream) in &live {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        let handles =
-            std::mem::take(&mut *self.connections.lock().unwrap_or_else(|p| p.into_inner()));
-        for handle in handles {
-            let _ = handle.join();
+        for (thread, _) in live {
+            let _ = thread.join();
         }
-        self.batcher.stop();
-    }
-
-    /// The accept loop blocks in `accept()`; a throwaway local
-    /// connection unblocks it so it can observe the latch.
-    fn wake_accept(&self) {
-        let _ = TcpStream::connect(self.addr);
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    engine: &Arc<Engine>,
-    connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    batcher: &BatchHandle,
-    config: &ServerConfig,
-) {
+/// A counting gate: at most `permits` holders at once.
+#[derive(Debug)]
+struct Gate {
+    free: Mutex<usize>,
+    freed: Condvar,
+}
+
+/// One held slot of a [`Gate`], given back on drop.
+struct Permit<'a>(&'a Gate);
+
+impl Gate {
+    fn new(permits: usize) -> Gate {
+        Gate {
+            free: Mutex::new(permits.max(1)),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Take a slot, waiting while all are held.
+    fn enter(&self) -> Permit<'_> {
+        let free = self.free.lock().unwrap_or_else(|p| p.into_inner());
+        let mut free = self
+            .freed
+            .wait_while(free, |free| *free == 0)
+            .unwrap_or_else(|p| p.into_inner());
+        *free -= 1;
+        Permit(self)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.free.lock().unwrap_or_else(|p| p.into_inner()) += 1;
+        self.0.freed.notify_one();
+    }
+}
+
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<Connection> {
+    let mut live: Vec<Connection> = Vec::new();
+    let engine = &shared.engine;
     for stream in listener.incoming() {
         if engine.shutdown_requested() {
             break;
         }
         let Ok(stream) = stream else { continue };
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
         engine.serve.connections.fetch_add(1, Ordering::Relaxed);
-        let engine = Arc::clone(engine);
-        let batcher = batcher.clone();
-        let config = config.clone();
-        let handle =
-            std::thread::spawn(move || serve_connection(stream, &engine, &batcher, &config));
-        connections
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(handle);
+        live.retain(|(thread, _)| !thread.is_finished());
+        let shared = Arc::clone(shared);
+        let thread = std::thread::spawn(move || serve_connection(stream, &shared));
+        live.push((thread, handle));
     }
+    live
 }
 
-fn serve_connection(
-    mut stream: TcpStream,
-    engine: &Arc<Engine>,
-    batcher: &BatchHandle,
-    config: &ServerConfig,
-) {
-    if stream.set_read_timeout(Some(config.read_poll)).is_err() {
-        return;
+fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+    let bound = Some(shared.config.idle_timeout);
+    if stream.set_read_timeout(bound).is_ok() && stream.set_write_timeout(bound).is_ok() {
+        serve_lines(&mut stream, shared);
     }
+    // The server's handle on this socket keeps it open; close it
+    // explicitly so the peer sees end-of-stream.
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+fn serve_lines(stream: &mut TcpStream, shared: &Shared) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut discarding = false;
-    let mut last_activity = Instant::now();
     loop {
-        if engine.shutdown_requested() {
-            return;
-        }
         match stream.read(&mut chunk) {
-            Ok(0) => return, // client closed
+            Ok(0) => return, // client closed, or the server is shutting down
             Ok(n) => {
-                last_activity = Instant::now();
                 buf.extend_from_slice(&chunk[..n]);
-                if !drain_lines(
-                    &mut buf,
-                    &mut discarding,
-                    &mut stream,
-                    engine,
-                    batcher,
-                    config,
-                ) {
+                if !drain_lines(&mut buf, &mut discarding, stream, shared) {
                     return;
                 }
             }
@@ -215,17 +227,15 @@ fn serve_connection(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if last_activity.elapsed() >= config.idle_timeout {
-                    let line = engine.frame_error(
-                        ErrorCode::Timeout,
-                        format!(
-                            "connection idle for more than {:?}; closing",
-                            config.idle_timeout
-                        ),
-                    );
-                    let _ = write_response(&mut stream, engine, &line);
-                    return;
-                }
+                let line = shared.engine.frame_error(
+                    ErrorCode::Timeout,
+                    format!(
+                        "connection idle for more than {:?}; closing",
+                        shared.config.idle_timeout
+                    ),
+                );
+                let _ = write_response(stream, &shared.engine, &line);
+                return;
             }
             Err(_) => return,
         }
@@ -240,10 +250,10 @@ fn drain_lines(
     buf: &mut Vec<u8>,
     discarding: &mut bool,
     stream: &mut TcpStream,
-    engine: &Arc<Engine>,
-    batcher: &BatchHandle,
-    config: &ServerConfig,
+    shared: &Shared,
 ) -> bool {
+    let engine = &shared.engine;
+    let max_request_bytes = shared.config.max_request_bytes;
     while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
         let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
         let line_bytes = &line_bytes[..line_bytes.len() - 1];
@@ -262,13 +272,12 @@ fn drain_lines(
         if line_bytes.is_empty() {
             continue; // blank keep-alive lines are not requests
         }
-        let response = if line_bytes.len() > config.max_request_bytes {
+        let response = if line_bytes.len() > max_request_bytes {
             engine.frame_error(
                 ErrorCode::OversizedRequest,
                 format!(
-                    "request line is {} bytes; the bound is {}",
+                    "request line is {} bytes; the bound is {max_request_bytes}",
                     line_bytes.len(),
-                    config.max_request_bytes
                 ),
             )
         } else {
@@ -276,22 +285,22 @@ fn drain_lines(
                 Err(_) => {
                     engine.frame_error(ErrorCode::InvalidUtf8, "request line is not valid UTF-8")
                 }
-                Ok(line) => batcher.submit(line.to_owned()),
+                Ok(line) => {
+                    let _permit = shared.gate.enter();
+                    engine.handle_line(line)
+                }
             }
         };
         if !write_response(stream, engine, &response) {
             return false;
         }
     }
-    if !*discarding && buf.len() > config.max_request_bytes {
+    if !*discarding && buf.len() > max_request_bytes {
         // No newline yet and already over budget: answer now, swallow
         // the rest of the line when it eventually arrives.
         let response = engine.frame_error(
             ErrorCode::OversizedRequest,
-            format!(
-                "request line exceeds the {}-byte bound",
-                config.max_request_bytes
-            ),
+            format!("request line exceeds the {max_request_bytes}-byte bound"),
         );
         buf.clear();
         *discarding = true;
@@ -302,7 +311,7 @@ fn drain_lines(
     true
 }
 
-fn write_response(stream: &mut TcpStream, engine: &Arc<Engine>, line: &str) -> bool {
+fn write_response(stream: &mut TcpStream, engine: &Engine, line: &str) -> bool {
     let mut bytes = Vec::with_capacity(line.len() + 1);
     bytes.extend_from_slice(line.as_bytes());
     bytes.push(b'\n');
@@ -314,4 +323,56 @@ fn write_response(stream: &mut TcpStream, engine: &Arc<Engine>, line: &str) -> b
         .write_all(&bytes)
         .and_then(|()| stream.flush())
         .is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testflow::demo_flow;
+    use crate::Client;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn gate_admits_at_most_its_width() {
+        let gate = Gate::new(2);
+        let inside = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        let _permit = gate.enter();
+                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        for _ in 0..20 {
+                            std::thread::yield_now();
+                        }
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(done.load(Ordering::SeqCst), 8 * 50);
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&peak), "peak concurrency {peak}");
+    }
+
+    #[test]
+    fn finished_connections_are_reaped() {
+        let mut registry = FlowRegistry::new();
+        registry.register("demo", demo_flow());
+        let server = Server::start(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        for _ in 0..200 {
+            let mut client = Client::connect(server.addr()).unwrap();
+            client.request(r#"{"verb":"list"}"#).unwrap();
+        }
+        server.shutdown();
+        let live = server.accept.join().unwrap();
+        assert!(live.len() < 10, "{} connections still tracked", live.len());
+        for (thread, _) in live {
+            thread.join().unwrap();
+        }
+    }
 }

@@ -86,8 +86,8 @@ fn golden_wire_verbs() {
 fn golden_wire_stats() {
     // The stats counters are deterministic for a serial, single-client
     // history on a fresh server: two analyzes (one cache miss, one
-    // hit) then stats. `batches` equals dispatched requests because a
-    // lone blocking client never accumulates a deeper queue.
+    // hit) then stats. `batches` and `batched_requests` both count
+    // evaluated requests, because every request is dispatched alone.
     check(
         "stats.txt",
         &transcript(&[

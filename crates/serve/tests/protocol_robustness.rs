@@ -209,7 +209,6 @@ fn blank_lines_are_ignored_not_answered() {
 fn idle_connections_time_out_with_a_typed_error_then_close() {
     let config = ServerConfig {
         idle_timeout: Duration::from_millis(200),
-        read_poll: Duration::from_millis(20),
         ..ServerConfig::default()
     };
     let mut registry = FlowRegistry::new();
@@ -224,6 +223,42 @@ fn idle_connections_time_out_with_a_typed_error_then_close() {
     assert_still_serving(&mut fresh);
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn a_peer_that_never_reads_cannot_block_join() {
+    let config = ServerConfig {
+        idle_timeout: Duration::from_millis(500),
+        ..ServerConfig::default()
+    };
+    let mut registry = FlowRegistry::new();
+    registry.register("demo", testflow::demo_flow());
+    let server = Server::start(registry, "127.0.0.1:0", config).unwrap();
+    let mut flooder = Client::connect(server.addr()).unwrap();
+    std::thread::spawn(move || {
+        let line = b"{\"verb\":\"analyze\",\"flow\":\"demo\"}\n";
+        while flooder.send_raw(line).is_ok() {}
+    });
+    // Wait until the answers stop flowing: both socket buffers are full
+    // and the connection thread is stuck writing to a peer that never
+    // reads.
+    let mut last = server.run_stats().serve.bytes_out;
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = server.run_stats().serve.bytes_out;
+        if now > 0 && now == last {
+            break;
+        }
+        last = now;
+    }
+    server.shutdown();
+    let (joined, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = joined.send(());
+    });
+    done.recv_timeout(Duration::from_secs(10))
+        .expect("join must not wait on a peer that never reads");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! ```text
 //! ipassd                                # serve on 127.0.0.1:7171
 //! ipassd --addr 127.0.0.1:9000         # serve elsewhere
-//! ipassd --threads 4                   # executor width for batches
+//! ipassd --threads 4                   # at most 4 concurrent evaluations
 //! ipassd --smoke                       # boot, self-test every verb, exit
 //! echo '{"verb":"analyze","flow":"solution2"}' | nc 127.0.0.1 7171
 //! ```
@@ -23,7 +23,7 @@ const USAGE: &str = "usage: ipassd [--addr HOST:PORT] [--threads N] [--smoke]\n\
     \n\
     options:\n\
     \x20 --addr HOST:PORT   listen address (default 127.0.0.1:7171)\n\
-    \x20 --threads N        executor threads for request batches (default 2)\n\
+    \x20 --threads N        concurrent evaluations (default 2)\n\
     \x20 --smoke            boot on an ephemeral port, run one query per verb\n\
     \x20                    plus one malformed request, then shut down\n";
 
@@ -89,7 +89,7 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "info: ipassd serving on {} ({threads} executor threads)",
+        "info: ipassd serving on {} ({threads} concurrent evaluations)",
         server.addr()
     );
     eprintln!("info: send {{\"verb\":\"shutdown\"}} to stop");
