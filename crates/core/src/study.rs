@@ -16,7 +16,6 @@ use ipass_explore::{
 use ipass_moe::{CompiledFlow, CostReport, FlowError, PatchDirective};
 use ipass_sim::Executor;
 use ipass_units::Money;
-use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -285,18 +284,17 @@ impl TradeStudy {
         let cost_grid: Vec<(usize, usize)> = (0..self.candidates.len())
             .flat_map(|c| (0..cost_classes.len()).map(move |k| (c, k)))
             .collect();
-        let costs: Vec<CostReport> =
-            ipass_moe::analyze_patched_batch(&self.executor, &cost_grid, |_, &(c, k)| {
-                let (o, patch) = cost_classes[k];
-                let compiled = &bases[c * objectives.len() + o].compiled;
-                let mut point = compiled.patch();
-                if let Some(directives) = patch {
-                    for directive in directives {
-                        point.apply(directive)?;
-                    }
+        let costs = self.executor.try_map(&cost_grid, |_, &(c, k)| {
+            let (o, patch) = cost_classes[k];
+            let compiled = &bases[c * objectives.len() + o].compiled;
+            let mut point = compiled.patch();
+            if let Some(directives) = patch {
+                for directive in directives {
+                    point.apply(directive)?;
                 }
-                Ok(Cow::Owned(point))
-            })?;
+            }
+            point.analyze()
+        })?;
 
         scenarios
             .iter()

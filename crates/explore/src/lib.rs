@@ -78,8 +78,7 @@ mod space;
 pub use engine::{explore_fn, frontier_fn, Exploration};
 pub use error::ExploreError;
 pub use flow::{
-    Confirmation, DirectedScreen, FlowAxis, FlowExplorer, FlowTarget, Metric, Objective,
-    RefineOptions, Refined,
+    Confirmation, FlowAxis, FlowExplorer, FlowTarget, Metric, Objective, RefineOptions, Refined,
 };
 pub use pareto::{dominates, DesignPoint, FrontierDiff, ParetoFrontier, Sense};
 pub use sample::{PointSet, SamplerSpec};

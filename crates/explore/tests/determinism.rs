@@ -79,28 +79,6 @@ fn screens_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn directed_screen_is_bit_identical_across_thread_counts() {
-    let baseline = explorer(Executor::new(1))
-        .screen_frontier_directed()
-        .unwrap();
-    // Also exact against the full-grid screen.
-    assert_eq!(
-        baseline.frontier,
-        explorer(Executor::new(1))
-            .screen_frontier(&SamplerSpec::Grid)
-            .unwrap()
-    );
-    for threads in [2, 4, 8] {
-        let run = explorer(Executor::new(threads))
-            .screen_frontier_directed()
-            .unwrap();
-        assert_eq!(run.frontier, baseline.frontier, "threads = {threads}");
-        assert_eq!(run.evaluated, baseline.evaluated, "threads = {threads}");
-        assert_eq!(run.grid_points, baseline.grid_points);
-    }
-}
-
-#[test]
 fn refinement_is_bit_identical_across_thread_counts() {
     let options = RefineOptions {
         margin: 0.08,

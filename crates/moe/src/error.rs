@@ -76,6 +76,18 @@ pub enum FlowError {
         /// The twice-written `name (kind)` pair.
         slot: String,
     },
+    /// A cost patch ([`FlowPatch::set_cost`] /
+    /// [`FlowPatch::scale_cost`]) would fold to an infinite or NaN op
+    /// cost, which no cost report can carry; the slot keeps its value.
+    ///
+    /// [`FlowPatch::set_cost`]: crate::FlowPatch::set_cost
+    /// [`FlowPatch::scale_cost`]: crate::FlowPatch::scale_cost
+    NonFinitePatchedCost {
+        /// The patched `name (kind)` pair.
+        slot: String,
+        /// The rejected folded cost.
+        value: f64,
+    },
     /// Static verification ([`CompiledFlow::verify`]) found
     /// error-severity diagnostics, so the requested operation refused to
     /// trust the program.
@@ -138,6 +150,12 @@ impl fmt::Display for FlowError {
                     f,
                     "patch slot {slot:?} written twice; the second write would \
                      silently discard the first"
+                )
+            }
+            FlowError::NonFinitePatchedCost { slot, value } => {
+                write!(
+                    f,
+                    "patch slot {slot:?} would fold to a non-finite cost ({value})"
                 )
             }
             FlowError::VerificationFailed {

@@ -50,41 +50,9 @@ use crate::error::FlowError;
 use crate::mc::{self, SimOptions, SimSummary};
 use crate::report::CostReport;
 use crate::verify::{self, StaticBounds, VerifyMode};
-use ipass_sim::{Executor, SimRng};
+use ipass_sim::SimRng;
 use ipass_units::{Money, Probability};
-use std::borrow::Cow;
 use std::sync::Arc;
-
-/// The one patched-evaluation fan-out every scenario surface delegates
-/// to — parameter sweeps ([`sweep_patched`](crate::sweep_patched)),
-/// tornado charts
-/// ([`Tornado::evaluate_patches`](crate::Tornado::evaluate_patches))
-/// and the `ipass-explore` design-space explorer all used to carry
-/// their own near-identical clone-patch-analyze loop; this is that loop,
-/// once.
-///
-/// For every item, `patch_for` produces the [`FlowPatch`] to evaluate —
-/// [`Cow::Owned`] when the point is patched on the fly (the sweep
-/// shape), [`Cow::Borrowed`] when the patch was prebuilt (the tornado
-/// shape) — and the batch is analyzed in parallel on `executor` with
-/// results, and the choice of reported error, identical to a serial
-/// evaluation.
-///
-/// # Errors
-///
-/// Fails on the first item (in batch order) whose patch cannot be built
-/// or whose patched flow ships nothing.
-pub fn analyze_patched_batch<'p, T, F>(
-    executor: &Executor,
-    items: &[T],
-    patch_for: F,
-) -> Result<Vec<CostReport>, FlowError>
-where
-    T: Sync,
-    F: Fn(usize, &T) -> Result<Cow<'p, FlowPatch>, FlowError> + Sync,
-{
-    executor.try_map(items, |i, item| patch_for(i, item)?.analyze())
-}
 
 /// A [`Flow`](crate::Flow)'s compiled routing program plus its run
 /// economics: the shareable, immutable base that [`FlowPatch`]es and
@@ -298,7 +266,7 @@ impl CompiledFlow {
         &self,
         directions: impl IntoIterator<Item = &'d DualDirection>,
     ) -> Result<DualReport, FlowError> {
-        let folded = fold_directions(&self.program, self.program.ops(), directions)?;
+        let folded = fold_directions(&self.program, directions)?;
         let (entry, len) = self.program.top_region();
         analytic::analyze_ops_duals(
             self.program.ops(),
@@ -558,12 +526,11 @@ impl FlowPatch {
     ///
     /// Returns [`FlowError::UnknownPatchSlot`] when the program has no
     /// cost slot of that name (e.g. the step compiled away as a free,
-    /// certain no-op).
+    /// certain no-op), and [`FlowError::NonFinitePatchedCost`] when the
+    /// folded cost overflows.
     pub fn set_cost(&mut self, slot: &str, unit_cost: Money) -> Result<&mut FlowPatch, FlowError> {
         let (op, qty) = self.resolve(slot, SlotKind::Cost)?;
-        let folded = qty as f64 * unit_cost.units();
-        *self.cost_of(op) = folded;
-        Ok(self)
+        self.store_cost(op, slot, qty as f64 * unit_cost.units())
     }
 
     /// Multiply a cost slot's current value by `factor`.
@@ -571,10 +538,29 @@ impl FlowPatch {
     /// # Errors
     ///
     /// Returns [`FlowError::UnknownPatchSlot`] when the program has no
-    /// cost slot of that name.
+    /// cost slot of that name, and [`FlowError::NonFinitePatchedCost`]
+    /// when the scaled cost is infinite or NaN.
     pub fn scale_cost(&mut self, slot: &str, factor: f64) -> Result<&mut FlowPatch, FlowError> {
         let (op, _) = self.resolve(slot, SlotKind::Cost)?;
-        *self.cost_of(op) *= factor;
+        let scaled = *self.cost_of(op) * factor;
+        self.store_cost(op, slot, scaled)
+    }
+
+    /// Write a folded cost into op `op`, refusing a non-finite value
+    /// (the analytic walk would turn it into a NaN [`Money`]).
+    fn store_cost(
+        &mut self,
+        op: u32,
+        slot: &str,
+        folded: f64,
+    ) -> Result<&mut FlowPatch, FlowError> {
+        if !folded.is_finite() {
+            return Err(FlowError::NonFinitePatchedCost {
+                slot: format!("{slot} ({})", SlotKind::Cost),
+                value: folded,
+            });
+        }
+        *self.cost_of(op) = folded;
         Ok(self)
     }
 
@@ -690,31 +676,6 @@ impl FlowPatch {
             self.volume,
         )
     }
-
-    /// Like [`CompiledFlow::analyze_duals`] but on the patched op
-    /// vector: one dual walk at the *patched* operating point, with
-    /// the primal report bit-identical to [`FlowPatch::analyze`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownPatchSlot`] /
-    /// [`FlowError::AmbiguousPatchSlot`] for unresolvable direction
-    /// components and [`FlowError::NothingShipped`] when the patched
-    /// flow ships nothing.
-    pub fn analyze_duals(&self, directions: &[DualDirection]) -> Result<DualReport, FlowError> {
-        let folded = fold_directions(&self.program, &self.ops, directions)?;
-        let (entry, len) = self.program.top_region();
-        analytic::analyze_ops_duals(
-            &self.ops,
-            entry,
-            len,
-            self.program.names(),
-            self.program.line_name(),
-            self.nre,
-            self.volume,
-            &folded,
-        )
-    }
 }
 
 /// Translate per-input-unit [`DualDirection`]s into per-op tangent
@@ -724,15 +685,11 @@ impl FlowPatch {
 /// - cost slots fold `quantity × unit_cost`, so ∂folded/∂unit = `qty`;
 /// - yield slots fold `p_unit^quantity`, so ∂folded/∂p_unit =
 ///   `qty · p_unit^(qty-1) = qty · p_good^((qty-1)/qty)` evaluated at
-///   the op's *current* folded `p_good` (zero when a multi-unit slot
+///   the op's compiled folded `p_good` (zero when a multi-unit slot
 ///   sits at `p_good = 0`, matching the one-sided derivative);
 /// - coverage slots are stored unfolded, weight passes through.
-///
-/// `ops` is passed separately from `program` so patched op vectors
-/// seed at their patched operating point.
 fn fold_directions<'d>(
     program: &RoutingProgram,
-    ops: &[Op],
     directions: impl IntoIterator<Item = &'d DualDirection>,
 ) -> Result<FoldedDirections, FlowError> {
     let mut folded = FoldedDirections::default();
@@ -744,7 +701,7 @@ fn fold_directions<'d>(
                 SlotKind::Coverage => *w,
                 SlotKind::Yield if qty <= 1 => *w,
                 SlotKind::Yield => {
-                    let Op::Step { p_good, .. } = ops[op as usize] else {
+                    let Op::Step { p_good, .. } = program.ops()[op as usize] else {
                         unreachable!("yield slot registered on a non-step op");
                     };
                     let q = qty as f64;
@@ -1168,28 +1125,24 @@ mod tests {
     }
 
     #[test]
-    fn patched_duals_seed_at_the_patched_point() {
-        // After patching the step yield, the dual derivative must be
-        // taken at the *patched* operating point, not the compiled one.
+    fn non_finite_patched_costs_are_typed_errors() {
         let base = flow(10.0, 0.9).compiled().unwrap();
+        let unpatched = base.analyze().unwrap();
         let mut patch = base.patch();
-        patch.set_yield("p", p(0.7)).unwrap();
-        let dual = patch
-            .analyze_duals(&[DualDirection::step_yield("p")])
-            .unwrap();
-        assert_eq!(dual.report, patch.analyze().unwrap());
-        let h = 1e-6;
-        let fd = central_fd(
-            &base,
-            0.7,
-            h,
-            |pt, x| {
-                pt.set_yield("p", p(x)).unwrap();
-            },
-            |r| r.final_cost_per_shipped().units(),
-        );
-        let g = dual.gradients[0].final_cost_per_shipped;
-        assert!((g - fd).abs() <= 1e-6 * fd.abs().max(1.0), "{g} vs {fd}");
+        // Two finite scale factors whose product overflows.
+        patch.scale_cost("c", 1e200).unwrap();
+        let err = patch.scale_cost("c", 1e200).unwrap_err();
+        assert!(matches!(err, FlowError::NonFinitePatchedCost { .. }));
+        assert!(err.to_string().contains("c (cost)"), "{err}");
+        let err = patch.scale_cost("c", f64::NAN).unwrap_err();
+        assert!(matches!(err, FlowError::NonFinitePatchedCost { .. }));
+        // Two dies per attach: a finite unit cost folds to infinity.
+        let err = patch.set_cost("a/die", Money::new(f64::MAX)).unwrap_err();
+        assert!(matches!(err, FlowError::NonFinitePatchedCost { .. }));
+        // A rejected write leaves the slot as it was, so the patch
+        // still evaluates instead of panicking on a NaN cost.
+        patch.set_cost("c", Money::new(10.0)).unwrap();
+        assert_eq!(patch.analyze().unwrap(), unpatched);
     }
 
     #[test]

@@ -144,25 +144,20 @@ impl Tornado {
         inputs: &[TornadoPatch<'_>],
     ) -> Result<Tornado, FlowError> {
         // One flat batch: the unpatched baseline first, then each
-        // input's low/high patch. An unpatched `FlowPatch` analyzes
-        // identically to `CompiledFlow::analyze`, so the baseline rides
-        // the same shared fan-out as the variants.
+        // input's low/high patch.
         let mut variants: Vec<Option<&FlowPatch>> = Vec::with_capacity(1 + 2 * inputs.len());
         variants.push(None);
         for input in inputs {
             variants.push(Some(&input.low));
             variants.push(Some(&input.high));
         }
-        let reports = crate::patch::analyze_patched_batch(executor, &variants, |_, variant| {
-            Ok(match variant {
-                None => std::borrow::Cow::Owned(baseline.patch()),
-                Some(patch) => std::borrow::Cow::Borrowed(*patch),
-            })
+        let costs = executor.try_map(&variants, |_, variant| {
+            let report = match variant {
+                None => baseline.analyze()?,
+                Some(patch) => patch.analyze()?,
+            };
+            Ok::<f64, FlowError>(report.final_cost_per_shipped().units())
         })?;
-        let costs: Vec<f64> = reports
-            .iter()
-            .map(|r| r.final_cost_per_shipped().units())
-            .collect();
         let names = inputs.iter().map(|i| i.name);
         Ok(Tornado::from_costs(&costs, names))
     }

@@ -1,9 +1,10 @@
 //! Concurrency determinism on the wire: N in-process clients issuing
 //! shuffled request streams must get responses byte-identical to the
-//! same requests evaluated serially, for executor thread counts 1, 2
-//! and 8 — the PR-1/PR-9 bit-identity contract extended to the serving
-//! layer. The `stats` verb is excluded by design (it reports live
-//! counters); everything else is a pure function of request content.
+//! same requests evaluated serially, for `--threads` widths 1, 2 and 8
+//! (the number of requests the server evaluates concurrently) — the
+//! engines' bit-identity contract extended to the serving layer. The
+//! `stats` verb is excluded by design (it reports live counters);
+//! everything else is a pure function of request content.
 
 use ipass_serve::{testflow, Client, FlowRegistry, Server, ServerConfig};
 use std::collections::HashMap;

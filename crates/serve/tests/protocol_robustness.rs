@@ -85,6 +85,12 @@ fn malformed_corpus_yields_typed_errors_and_the_server_survives() {
             r#"{"verb":"patch","flow":"demo","directives":[{"set":"cost","slot":"ghost","value":1}]}"#,
             ErrorCode::EngineError,
         ),
+        // Two finite scale factors whose product overflows the slot's
+        // cost: a typed engine error, not a panic in the walk.
+        (
+            r#"{"verb":"patch","flow":"demo","directives":[{"scale":"cost","slot":"c","factor":1e308},{"scale":"cost","slot":"c","factor":1e308}]}"#,
+            ErrorCode::EngineError,
+        ),
         // Truncated JSON: the tolerant scanner still fails typed-ly.
         // (A string truncated only at its closing quote, like
         // `"flow":"demo`, is *recovered* by design — see the separate
