@@ -312,8 +312,8 @@ proptest! {
     /// bit-identical for any thread count (full equality, lanes
     /// histogram included — chunk geometry depends only on `units`),
     /// and its [`invariant_core`] — everything except the
-    /// width-dependent lane-occupancy histogram and the racy memo
-    /// counters — is additionally identical across lane widths.
+    /// width-dependent lane-occupancy histogram — is additionally
+    /// identical across lane widths.
     ///
     /// [`RunStats`]: ipass_moe::RunStats
     /// [`invariant_core`]: ipass_moe::RunStats::invariant_core

@@ -2,7 +2,7 @@
 //! Two-plane observability for the `ipass` stack.
 //!
 //! **Deterministic plane** — [`Probe`]-gated counters ([`EngineCounters`],
-//! [`MemoStats`], [`ExploreStats`], folded into [`RunStats`]) that are
+//! [`ExploreStats`], [`ServeStats`], folded into [`RunStats`]) that are
 //! accumulated *inside* the engines and merged exactly like results: in
 //! chunk order, with associative operations only (`u64` adds, `min`,
 //! `max`). A `RunStats` snapshot is therefore bit-identical for any
@@ -133,42 +133,14 @@ impl EngineCounters {
     }
 }
 
-/// Cache-effectiveness counters for `ipass-sim`'s memo table.
-///
-/// Maintained with relaxed atomics: totals are exact once the cache is
-/// quiescent, but the hit/miss *split* can wobble by racing lookups, so
-/// memo counters are excluded from the strict bit-identity contract
-/// (see [`RunStats::invariant_core`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute the value.
-    pub misses: u64,
-    /// Entries not cached because their shard was at capacity.
-    pub dropped: u64,
-    /// Shard-lock poison events recovered from (a writer panicked).
-    pub poisoned: u64,
-}
-
-impl MemoStats {
-    /// Associative merge (field-wise sum).
-    pub fn merge(&mut self, other: &MemoStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.dropped += other.dropped;
-        self.poisoned += other.poisoned;
-    }
-}
-
 /// Request counters for one `ipass-serve` server instance.
 ///
 /// Maintained with relaxed atomics on the serving hot path: totals are
 /// exact once the server is quiescent (drained and shut down), which is
 /// when the snapshot is read. Every count is a pure function of the
-/// request stream the server saw — never of wall-clock time — so a
-/// drained server's snapshot is reproducible for a fixed client
-/// workload.
+/// flows registered and the request stream the server saw — never of
+/// wall-clock time — so a drained server's snapshot is reproducible for
+/// a fixed client workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Connections accepted.
@@ -190,6 +162,10 @@ pub struct ServeStats {
     pub batches: u64,
     /// Requests dispatched to evaluation (see `batches`).
     pub batched_requests: u64,
+    /// Compiled-program lookups served from the flow registry.
+    pub cache_hits: u64,
+    /// Flow compiles, one per registration.
+    pub cache_misses: u64,
 }
 
 impl ServeStats {
@@ -203,6 +179,8 @@ impl ServeStats {
         self.bytes_out += other.bytes_out;
         self.batches += other.batches;
         self.batched_requests += other.batched_requests;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
     }
 }
 
@@ -231,12 +209,11 @@ impl ExploreStats {
 
 /// The deterministic-plane snapshot of a run.
 ///
-/// Built from [`EngineCounters`] plus whatever memo / explorer / patch
+/// Built from [`EngineCounters`] plus whatever explorer / patch / server
 /// counters the caller owns. The full snapshot is bit-identical across
 /// executor thread counts; [`RunStats::invariant_core`] strips the
-/// fields that legitimately depend on kernel shape (lane histogram) or
-/// on concurrent cache races (memo split), leaving a view that is also
-/// identical across lane widths.
+/// fields that legitimately depend on kernel shape (lane histogram),
+/// leaving a view that is also identical across lane widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Units attempted by the engine.
@@ -257,8 +234,6 @@ pub struct RunStats {
     pub sub_units_built: u64,
     /// Slot writes applied through `FlowPatch`es.
     pub patch_writes: u64,
-    /// Memo-cache counters (approximate under concurrency).
-    pub memo: MemoStats,
     /// Explorer counters, when the run went through `refine()`.
     pub explore: ExploreStats,
     /// Server counters, when the run was driven through `ipassd`.
@@ -303,7 +278,6 @@ impl RunStats {
         self.rework_attempts += other.rework_attempts;
         self.sub_units_built += other.sub_units_built;
         self.patch_writes += other.patch_writes;
-        self.memo.merge(&other.memo);
         self.explore.merge(&other.explore);
         self.serve.merge(&other.serve);
     }
@@ -311,8 +285,7 @@ impl RunStats {
     /// The width- and concurrency-invariant core of the snapshot.
     ///
     /// Zeroes the lane histogram (which reports kernel shape, so it
-    /// *should* change with lane width), the memo split (whose hit/miss
-    /// balance can race under concurrency) and the server's `batches` /
+    /// *should* change with lane width) and the server's `batches` /
     /// `batched_requests` pair (zeroed until both fields are retired
     /// with the benchmark metric that reads them). Everything left is
     /// bit-identical across thread counts *and* lane widths.
@@ -320,7 +293,6 @@ impl RunStats {
     pub fn invariant_core(&self) -> RunStats {
         RunStats {
             lanes: [0; 7],
-            memo: MemoStats::default(),
             serve: ServeStats {
                 batches: 0,
                 batched_requests: 0,
@@ -511,24 +483,25 @@ mod tests {
     }
 
     #[test]
-    fn invariant_core_strips_lanes_memo_and_batch_grouping_only() {
+    fn invariant_core_strips_lanes_and_batch_grouping_only() {
         let mut eng = EngineCounters::new();
         eng.record_unit(2);
         eng.lanes[6] = 1;
         let mut stats = RunStats::from_engine(1, &eng);
-        stats.memo.hits = 10;
         stats.rework_attempts = 3;
         stats.serve.requests = 9;
         stats.serve.batches = 4;
         stats.serve.batched_requests = 6;
+        stats.serve.cache_hits = 10;
+        stats.serve.cache_misses = 2;
         let core = stats.invariant_core();
         assert_eq!(core.lanes, [0; 7]);
-        assert_eq!(core.memo, MemoStats::default());
         assert_eq!(core.draws, stats.draws);
         assert_eq!(core.rework_attempts, 3);
-        // Request totals are workload-determined and stay; how they were
-        // grouped into batches is arrival timing and goes.
+        // Request totals and cache counts are workload-determined and
+        // stay; how requests were grouped into batches goes.
         assert_eq!(core.serve.requests, 9);
+        assert_eq!((core.serve.cache_hits, core.serve.cache_misses), (10, 2));
         assert_eq!(core.serve.batches, 0);
         assert_eq!(core.serve.batched_requests, 0);
     }
@@ -544,10 +517,13 @@ mod tests {
             bytes_out: 300,
             batches: 2,
             batched_requests: 3,
+            cache_hits: 6,
+            cache_misses: 1,
         };
         let b = ServeStats {
             connections: 2,
             requests: 7,
+            cache_hits: 4,
             ..ServeStats::default()
         };
         let id = ServeStats::default();
@@ -558,6 +534,7 @@ mod tests {
         assert_eq!(a.connections, 3);
         assert_eq!(a.requests, 12);
         assert_eq!(a.responses_ok, 4);
+        assert_eq!((a.cache_hits, a.cache_misses), (10, 1));
         // RunStats::merge delegates field-wise.
         let mut run = RunStats {
             serve: b,

@@ -36,8 +36,12 @@ impl Client {
     ///
     /// Propagates I/O failures (including a server-side close).
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
-        self.send_raw(line.as_bytes())?;
-        self.send_raw(b"\n")?;
+        // One write for line and newline: one syscall, and the server
+        // never wakes on a line whose newline is still in flight.
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.send_raw(&framed)?;
         self.read_line()
     }
 

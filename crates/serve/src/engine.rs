@@ -18,8 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Relaxed lifetime counters of the serving plane (the atomics behind
-/// [`ServeStats`]). Like the memo counters, totals are exact once the
-/// server is quiescent.
+/// [`ServeStats`]). Totals are exact once the server is quiescent.
 #[derive(Debug, Default)]
 pub(crate) struct ServeCounters {
     pub connections: AtomicU64,
@@ -35,7 +34,7 @@ pub(crate) struct ServeCounters {
 }
 
 impl ServeCounters {
-    fn snapshot(&self) -> ServeStats {
+    fn snapshot(&self, registry: &FlowRegistry) -> ServeStats {
         ServeStats {
             connections: self.connections.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
@@ -45,6 +44,8 @@ impl ServeCounters {
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             batches: self.dispatched.load(Ordering::Relaxed),
             batched_requests: self.dispatched.load(Ordering::Relaxed),
+            cache_hits: registry.lookups(),
+            cache_misses: registry.compiles(),
         }
     }
 }
@@ -97,11 +98,10 @@ impl Engine {
 
     /// The cumulative [`RunStats`] of this server: merged engine
     /// counters from probed runs, the serve plane from the connection
-    /// counters, the memo plane from the compiled-program cache.
+    /// counters and the registry's compile and lookup counts.
     pub fn run_stats(&self) -> RunStats {
         let mut stats = *self.engine_stats.lock().unwrap_or_else(|p| p.into_inner());
-        stats.serve = self.serve.snapshot();
-        stats.memo = self.registry.cache_stats();
+        stats.serve = self.serve.snapshot(&self.registry);
         stats
     }
 
@@ -236,10 +236,8 @@ impl Engine {
             (
                 "cache",
                 Json::obj(vec![
-                    ("hits", count(stats.memo.hits)),
-                    ("misses", count(stats.memo.misses)),
-                    ("dropped", count(stats.memo.dropped)),
-                    ("poisoned", count(stats.memo.poisoned)),
+                    ("hits", count(stats.serve.cache_hits)),
+                    ("misses", count(stats.serve.cache_misses)),
                 ]),
             ),
             (
@@ -336,8 +334,9 @@ mod tests {
         assert_eq!(json::number_field(serve, "requests"), Some(4.0));
         assert_eq!(json::number_field(serve, "responses_ok"), Some(2.0));
         assert_eq!(json::number_field(serve, "responses_err"), Some(1.0));
+        // One compile at registration; each analyze is one lookup.
         let cache = json::field_value(&resp, "cache").unwrap();
-        assert_eq!(json::number_field(cache, "hits"), Some(1.0));
+        assert_eq!(json::number_field(cache, "hits"), Some(2.0));
         assert_eq!(json::number_field(cache, "misses"), Some(1.0));
     }
 

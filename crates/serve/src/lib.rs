@@ -7,9 +7,8 @@
 //! space: a newline-delimited JSON protocol (verbs `list`, `analyze`,
 //! `patch`, `mc`, `stats`, `shutdown`) over `std::net`, with
 //!
-//! * a compiled-program cache keyed by flow hash
-//!   ([`registry::FlowRegistry`], backed by `ipass_sim::Memo`, hit/miss
-//!   counted on the probe plane),
+//! * flows compiled once, at registration ([`FlowRegistry`]), with
+//!   compiles and lookups counted on the probe plane,
 //! * request evaluation on each connection's own thread, at most
 //!   [`ServerConfig::threads`] at once (a counting gate),
 //! * per-request derived seeds ([`protocol::derived_seed`]) so

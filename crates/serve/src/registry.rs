@@ -1,33 +1,35 @@
-//! The flow registry: named flows plus the compiled-program cache.
+//! The flow registry: named flows, compiled once at registration.
 //!
 //! Compilation (validation, label indexing, op lowering) is the
 //! expensive, shareable step of the compile-once / query-many model;
-//! the registry performs it at most once per flow by keying an
-//! [`ipass_sim::Memo`] on the *flow hash* — FNV-1a over the flow's
-//! canonical debug form. Every request for a flow goes through the
-//! cache, so the hit/miss counters ([`Memo::stats`]) measure exactly
-//! how much compilation the serving layer is amortizing, on the same
-//! probe plane PR 9 introduced.
+//! [`FlowRegistry::register`] performs it exactly once per
+//! registration and keeps the outcome, so every request afterwards is
+//! a name lookup plus an `Arc` clone. A flow that fails to compile
+//! keeps its [`FlowError`] and answers each request for it with that
+//! error. The registry counts compiles and successful lookups; the
+//! `stats` verb reports them as the compiled-program cache's misses
+//! and hits.
 
-use crate::protocol::{fnv1a, ErrorCode, ServeError};
-use ipass_moe::{CompiledFlow, Flow};
-use ipass_sim::Memo;
+use crate::protocol::{ErrorCode, ServeError};
+use ipass_moe::{CompiledFlow, Flow, FlowError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A named, registered flow.
+/// A named, registered flow and the outcome of compiling it.
 #[derive(Debug)]
 struct Entry {
     name: String,
-    flow: Flow,
-    /// FNV-1a over name + debug form — the compiled-program cache key.
-    hash: u64,
+    compiled: Result<Arc<CompiledFlow>, FlowError>,
 }
 
-/// Registered flows plus the shared compiled-program cache.
+/// Registered flows with their compiled programs.
 #[derive(Debug, Default)]
 pub struct FlowRegistry {
     entries: Vec<Entry>,
-    cache: Memo<u64, CompiledFlow>,
+    /// Compiles performed by [`FlowRegistry::register`].
+    compiles: u64,
+    /// Successful [`FlowRegistry::compiled`] lookups.
+    lookups: AtomicU64,
 }
 
 impl FlowRegistry {
@@ -36,13 +38,15 @@ impl FlowRegistry {
         FlowRegistry::default()
     }
 
-    /// Register `flow` under `name` (replaces an existing entry of the
-    /// same name — last registration wins, like a patch slot write).
+    /// Compile `flow` and register it under `name` (replaces an
+    /// existing entry of the same name — last registration wins, like
+    /// a patch slot write).
     pub fn register(&mut self, name: impl Into<String>, flow: Flow) -> &mut FlowRegistry {
         let name = name.into();
-        let hash = fnv1a(format!("{name}\u{1f}{flow:?}").as_bytes());
+        let compiled = flow.compiled().map(Arc::new);
+        self.compiles += 1;
         self.entries.retain(|e| e.name != name);
-        self.entries.push(Entry { name, flow, hash });
+        self.entries.push(Entry { name, compiled });
         self
     }
 
@@ -61,13 +65,13 @@ impl FlowRegistry {
         self.entries.is_empty()
     }
 
-    /// The compiled program for `name`, compiling on first use and
-    /// serving the shared cached copy afterwards.
+    /// The compiled program registered under `name` (a shared handle).
     ///
     /// # Errors
     ///
     /// [`ErrorCode::UnknownFlow`] for unregistered names,
-    /// [`ErrorCode::EngineError`] when compilation itself fails.
+    /// [`ErrorCode::EngineError`] when the flow failed to compile at
+    /// registration.
     pub fn compiled(&self, name: &str) -> Result<Arc<CompiledFlow>, ServeError> {
         let entry = self
             .entries
@@ -79,15 +83,22 @@ impl FlowRegistry {
                     format!("no flow named {name:?} is registered (try \"list\")"),
                 )
             })?;
-        self.cache
-            .get_or_try_insert_with(entry.hash, || entry.flow.compiled())
-            .map_err(|e| ServeError::new(ErrorCode::EngineError, e.to_string()))
+        let compiled = entry
+            .compiled
+            .clone()
+            .map_err(|e| ServeError::new(ErrorCode::EngineError, e.to_string()))?;
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        Ok(compiled)
     }
 
-    /// Compiled-program cache counters (hits, misses, dropped,
-    /// poisoned).
-    pub fn cache_stats(&self) -> ipass_obs::MemoStats {
-        self.cache.stats()
+    /// Compiles performed so far (one per registration).
+    pub(crate) fn compiles(&self) -> u64 {
+        self.compiles
+    }
+
+    /// Successful [`FlowRegistry::compiled`] lookups so far.
+    pub(crate) fn lookups(&self) -> u64 {
+        self.lookups.load(Ordering::Relaxed)
     }
 }
 
@@ -116,14 +127,15 @@ mod tests {
         reg.register("a", toy("a", 1.0))
             .register("b", toy("b", 2.0));
         assert_eq!(reg.names(), vec!["a", "b"]);
+        // Both flows compiled at registration, before any lookup.
+        assert_eq!((reg.lookups(), reg.compiles()), (0, 2));
         let first = reg.compiled("a").unwrap();
         let again = reg.compiled("a").unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        let stats = reg.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((reg.lookups(), reg.compiles()), (2, 2));
+        // An unknown flow counts nothing.
         assert!(reg.compiled("ghost").is_err());
-        // Unknown flow never touches the cache.
-        assert_eq!(reg.cache_stats().misses, 1);
+        assert_eq!((reg.lookups(), reg.compiles()), (2, 2));
     }
 
     #[test]
@@ -133,6 +145,7 @@ mod tests {
         let before = reg.compiled("a").unwrap().analyze().unwrap();
         reg.register("a", toy("a", 5.0));
         assert_eq!(reg.len(), 1);
+        assert_eq!(reg.compiles(), 2);
         let after = reg.compiled("a").unwrap().analyze().unwrap();
         assert!(after.final_cost_per_shipped() > before.final_cost_per_shipped());
     }

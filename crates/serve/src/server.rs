@@ -75,12 +75,21 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// [`std::io::ErrorKind::InvalidInput`] for a zero
+    /// [`ServerConfig::idle_timeout`] (sockets reject a zero timeout,
+    /// so every connection would close unanswered); otherwise
+    /// propagates the bind failure.
     pub fn start(
         registry: FlowRegistry,
         addr: &str,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
+        if config.idle_timeout.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "idle_timeout must be nonzero",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {

@@ -72,6 +72,7 @@ fn concurrent_responses_are_byte_identical_to_serial_for_threads_1_2_8() {
         map
     };
 
+    let mut cores = Vec::new();
     for threads in [1usize, 2, 8] {
         let config = ServerConfig {
             threads,
@@ -96,23 +97,31 @@ fn concurrent_responses_are_byte_identical_to_serial_for_threads_1_2_8() {
                 });
             }
         });
+        // Every response has been read, so the counters are final.
+        cores.push(server.run_stats().invariant_core());
         server.shutdown();
         server.join();
     }
+    // The counter plane, cache counts included, is a pure function of
+    // the registrations and the request multiset, not of the width.
+    assert!(cores.iter().all(|core| core == &cores[0]), "{cores:#?}");
+    assert_eq!(cores[0].serve.requests, 6 * reqs.len() as u64);
 }
 
 #[test]
 fn equal_mc_requests_agree_across_distinct_servers() {
     // Seed derivation is a pure function of request content, so two
-    // independent servers — different uptime, different caches — must
-    // return identical bytes for an identical request.
+    // independent servers — different uptime, different request
+    // histories — must return identical bytes for an identical request.
     let req = r#"{"verb":"mc","flow":"demo","units":2000,"seed":123}"#;
     let mut answers = Vec::new();
-    for _ in 0..2 {
+    for warm_up in [false, true] {
         let server = Server::start(registry(), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
-        // Warm one server's cache differently on purpose.
-        let _ = client.request(r#"{"verb":"analyze","flow":"demo2"}"#);
+        // Only the second server answers another request first.
+        if warm_up {
+            let _ = client.request(r#"{"verb":"analyze","flow":"demo2"}"#);
+        }
         answers.push(client.request(req).unwrap());
         server.shutdown();
         server.join();

@@ -85,8 +85,9 @@ fn golden_wire_verbs() {
 #[test]
 fn golden_wire_stats() {
     // The stats counters are deterministic for a serial, single-client
-    // history on a fresh server: two analyzes (one cache miss, one
-    // hit) then stats. `batches` and `batched_requests` both count
+    // history on a fresh server: one registration (one compile, the
+    // cache's one miss), two analyzes (two lookups, its hits), then
+    // stats. `batches` and `batched_requests` both count
     // evaluated requests, because every request is dispatched alone.
     check(
         "stats.txt",

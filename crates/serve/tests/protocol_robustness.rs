@@ -232,6 +232,21 @@ fn idle_connections_time_out_with_a_typed_error_then_close() {
 }
 
 #[test]
+fn a_zero_idle_timeout_is_refused_at_start() {
+    // Sockets reject a zero timeout, so such a server would close every
+    // connection without an answer; it must not start at all.
+    let config = ServerConfig {
+        idle_timeout: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let mut registry = FlowRegistry::new();
+    registry.register("demo", testflow::demo_flow());
+    let err = Server::start(registry, "127.0.0.1:0", config)
+        .expect_err("a zero idle timeout must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}
+
+#[test]
 fn a_peer_that_never_reads_cannot_block_join() {
     let config = ServerConfig {
         idle_timeout: Duration::from_millis(500),

@@ -25,9 +25,6 @@
 //! * [`StopRule`] — optional sequential early stopping once a target
 //!   confidence-interval half width is reached, evaluated at
 //!   deterministic chunk boundaries.
-//! * [`Memo`] — a concurrent cache for per-candidate sub-results in
-//!   candidate × scenario batches, with hit/miss/dropped counters
-//!   surfaced as an `ipass_obs::MemoStats` snapshot.
 //!
 //! Wall-clock observability rides on the same machinery:
 //! [`Executor::run_batch_traced`] records one `"chunk"` span per
@@ -83,12 +80,10 @@
 
 mod batch;
 mod exec;
-mod memo;
 mod rng;
 mod stats;
 
 pub use batch::BatchSampler;
 pub use exec::{Collect, Executor, Experiment, RunOptions, RunOutcome, Sampler, StopRule};
-pub use memo::Memo;
 pub use rng::SimRng;
 pub use stats::{BinomialTally, MinMax, Welford, Z95, Z99};
